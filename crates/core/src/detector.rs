@@ -366,12 +366,20 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
             }
         };
         // step ⑦: warning with explained causes. Explanation reuses the
-        // classifier, so on the fallback rung (or if explain itself fails)
-        // the warning is raised without cause attribution.
+        // classifier, and on the full rung `threat_probability` is the
+        // classifier's probability of this very graph — the base the
+        // deletion attribution would otherwise recompute. On the fallback
+        // rung (or if explain itself fails) the warning is raised without
+        // cause attribution.
         let warning = if is_threat || drifting {
             let causes_idx = if degradation == Degradation::None {
                 catch_unwind(AssertUnwindSafe(|| {
-                    explain::top_causes(&self.classifier, graph, self.top_k_causes)
+                    explain::top_causes_from_base(
+                        &self.classifier,
+                        graph,
+                        threat_probability,
+                        self.top_k_causes,
+                    )
                 }))
                 .unwrap_or_default()
             } else {
@@ -380,8 +388,12 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
             let causes: Vec<&Rule> = causes_idx
                 .iter()
                 .filter_map(|&i| {
+                    // `rules` is sorted by id; take the first rule with
+                    // this id, so duplicate ids handed to `new` still
+                    // resolve to one deterministic rule
                     let id = graph.node(i).rule_id.0;
-                    self.rules.iter().find(|r| r.id.0 == id)
+                    let at = self.rules.partition_point(|r| r.id.0 < id);
+                    self.rules.get(at).filter(|r| r.id.0 == id)
                 })
                 .collect();
             Some(Warning::new(drifting && !is_threat, &causes))
@@ -596,6 +608,47 @@ mod tests {
             matches!(err, crate::error::GlintError::InvalidGraph(_)),
             "got {err}"
         );
+    }
+
+    /// The detector explains a flagged verdict from the probability it
+    /// already computed. That shortcut must not change a single cause or a
+    /// single importance bit relative to the public `explain` entry points.
+    #[test]
+    fn flagged_warning_causes_equal_public_explain() {
+        let (classifier, embedder, drift) = tiny_models();
+        let rules = table1_rules();
+        let detector = GlintDetector::new(rules.clone(), classifier, embedder, drift);
+        let builder = crate::construction::OfflineBuilder::new(rules, 91);
+        let ds = builder.build_dataset(Platform::all(), 24, 6, true);
+        let mut flagged = 0;
+        for g in ds.iter() {
+            let det = detector.assess(g.clone());
+            let Some(warning) = &det.warning else {
+                continue;
+            };
+            assert_eq!(det.degradation, Degradation::None);
+            flagged += 1;
+            let model = detector.classifier();
+            let want: Vec<u32> = explain::top_causes(model, g, detector.top_k_causes)
+                .into_iter()
+                .map(|i| g.node(i).rule_id.0)
+                .collect();
+            let got: Vec<u32> = warning.causes.iter().map(|c| c.rule_id).collect();
+            assert_eq!(got, want, "warning causes must match top_causes");
+            let bits = |imp: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                imp.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(explain::importance_from_base(
+                    model,
+                    g,
+                    det.threat_probability
+                )),
+                bits(explain::node_importance(model, g)),
+                "importances from the verdict's base must be bitwise equal"
+            );
+        }
+        assert!(flagged > 0, "no graph was flagged: the test is vacuous");
     }
 
     #[test]

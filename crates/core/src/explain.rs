@@ -8,12 +8,24 @@
 use glint_gnn::batch::PreparedGraph;
 use glint_gnn::models::GraphModel;
 use glint_gnn::trainer::ClassifierTrainer;
-use glint_graph::graph::EdgeKind;
 use glint_graph::InteractionGraph;
 
 /// Per-node importance scores for the threat prediction, descending.
 pub fn node_importance(model: &dyn GraphModel, g: &InteractionGraph) -> Vec<(usize, f64)> {
-    let base = ClassifierTrainer::predict_proba(model, &PreparedGraph::from_graph(g)) as f64;
+    let base = ClassifierTrainer::predict_proba(model, &PreparedGraph::from_graph(g));
+    importance_from_base(model, g, base)
+}
+
+/// [`node_importance`] against a threat probability the caller already
+/// holds for the whole of `g` (`base`, from the same `model`): the n
+/// deletion forwards only. The detector passes its verdict's probability
+/// here, so a flagged verdict costs n forwards for its causes, not n + 1.
+pub(crate) fn importance_from_base(
+    model: &dyn GraphModel,
+    g: &InteractionGraph,
+    base: f32,
+) -> Vec<(usize, f64)> {
+    let base = f64::from(base);
     let mut scores: Vec<(usize, f64)> = (0..g.n_nodes())
         .map(|drop| {
             if g.n_nodes() <= 1 {
@@ -39,34 +51,48 @@ fn rank_desc(scores: &mut [(usize, f64)]) {
 
 /// The top-k most influential nodes (the warning's "potential causes").
 pub fn top_causes(model: &dyn GraphModel, g: &InteractionGraph, k: usize) -> Vec<usize> {
-    node_importance(model, g)
-        .into_iter()
-        .take(k)
-        .map(|(i, _)| i)
-        .collect()
+    take_top(node_importance(model, g), k)
 }
 
+/// [`top_causes`] against an already-known base probability (see
+/// [`importance_from_base`]).
+pub(crate) fn top_causes_from_base(
+    model: &dyn GraphModel,
+    g: &InteractionGraph,
+    base: f32,
+    k: usize,
+) -> Vec<usize> {
+    take_top(importance_from_base(model, g, base), k)
+}
+
+fn take_top(ranked: Vec<(usize, f64)>, k: usize) -> Vec<usize> {
+    ranked.into_iter().take(k).map(|(i, _)| i).collect()
+}
+
+/// `g` without node `drop`: nodes after it shift down by one, and edges
+/// touching it vanish.
 fn remove_node(g: &InteractionGraph, drop: usize) -> InteractionGraph {
-    let keep: Vec<usize> = (0..g.n_nodes()).filter(|&i| i != drop).collect();
-    let remap = |i: usize| keep.iter().position(|&k| k == i);
-    let nodes = keep.iter().map(|&i| g.node(i).clone()).collect();
+    let nodes = (0..g.n_nodes())
+        .filter(|&i| i != drop)
+        .map(|i| g.node(i).clone())
+        .collect();
+    let remap = |i: usize| if i < drop { i } else { i - 1 };
     let mut out = InteractionGraph::new(nodes);
     for &(u, v, kind) in g.edges() {
-        if let (Some(nu), Some(nv)) = (remap(u), remap(v)) {
-            out.add_edge(nu, nv, kind);
+        if u != drop && v != drop {
+            out.add_edge(remap(u), remap(v), kind);
         }
     }
     if let Some(l) = g.label {
         out.label = Some(l);
     }
-    let _ = EdgeKind::ActionTrigger;
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glint_graph::graph::{GraphLabel, Node};
+    use glint_graph::graph::{EdgeKind, GraphLabel, Node};
     use glint_rules::{Platform, RuleId};
 
     fn graph(n: usize) -> InteractionGraph {

@@ -8,7 +8,7 @@ pub mod infograph;
 pub mod itgnn;
 
 use crate::batch::PreparedGraph;
-use glint_tensor::{InferCtx, Matrix, ParamSet, Tape, Var};
+use glint_tensor::{par, InferCtx, Matrix, ParamSet, Tape, Var};
 
 pub use gcn::GcnModel;
 pub use gin::GinModel;
@@ -59,18 +59,22 @@ pub trait GraphModel: Send + Sync {
     ///
     /// The default body falls back to a throwaway tape, which is correct
     /// for every model; the architectures on the detector's serving path
-    /// (ITGNN, GCN, GIN) override it with allocation-free kernels.
+    /// (ITGNN, GCN, GIN) override it with allocation-free kernels. The
+    /// fallback runs its tape kernels serially, like every tape-free
+    /// forward: one forward never fans out over threads.
     // glint-lint: allow(tape-purity) — the default body is the documented
     // tape-backed fallback; every model on the serving path overrides it
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
         let _ = &ctx;
-        let mut tape = Tape::new();
-        let vars = self.params().bind(&mut tape);
-        let out = self.forward(&mut tape, &vars, g);
-        InferOutput {
-            embedding: tape.value(out.embedding).clone(),
-            logits: tape.value(out.logits).clone(),
-        }
+        par::with_threads(1, || {
+            let mut tape = Tape::new();
+            let vars = self.params().bind(&mut tape);
+            let out = self.forward(&mut tape, &vars, g);
+            InferOutput {
+                embedding: tape.value(out.embedding).clone(),
+                logits: tape.value(out.logits).clone(),
+            }
+        })
     }
 }
 

@@ -15,6 +15,7 @@ use glint_graph::InteractionGraph;
 use glint_rules::{Platform, RuleId};
 use glint_tensor::{par, InferCtx, Tape};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 
 const DIM: usize = 4;
 
@@ -155,18 +156,16 @@ proptest! {
 }
 
 /// A graph big enough that the hidden-layer matmuls cross the parallel
-/// dispatch threshold (`MIN_PAR_WORK`), so the 4-thread run genuinely fans
-/// out instead of vacuously matching the serial path.
+/// dispatch threshold (`MIN_PAR_WORK`): the 4-thread tape forward fans
+/// out, while the tape-free forward stays serial at every thread count.
 fn large_line_graph() -> InteractionGraph {
     let n = 400;
     let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
     build_graph(n, &edges, 17, &[Platform::Ifttt])
 }
 
-#[test]
-fn tape_free_forward_is_bitwise_identical_across_thread_counts() {
-    let p = PreparedGraph::from_graph(&large_line_graph());
-    let model = Itgnn::homogeneous(
+fn large_model() -> Itgnn {
+    Itgnn::homogeneous(
         Platform::Ifttt,
         DIM,
         ItgnnConfig {
@@ -175,12 +174,71 @@ fn tape_free_forward_is_bitwise_identical_across_thread_counts() {
             n_scales: 2,
             ..Default::default()
         },
-    );
+    )
+}
+
+/// The trace registry is process-global: tests that count fan-outs, and
+/// the test whose 4-thread tape forward produces them, must not interleave.
+static FANOUT_LOCK: Mutex<()> = Mutex::new(());
+
+fn fanout_lock() -> MutexGuard<'static, ()> {
+    FANOUT_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// `tensor.par.fanouts` recorded while `f` runs. The caller holds
+/// [`fanout_lock`].
+fn count_fanouts(f: impl FnOnce()) -> u64 {
+    let was = glint_trace::enabled();
+    glint_trace::set_enabled(true);
+    glint_trace::reset();
+    f();
+    let fanouts = glint_trace::counter_value("tensor.par.fanouts");
+    glint_trace::reset();
+    glint_trace::set_enabled(was);
+    fanouts
+}
+
+#[test]
+fn tape_free_forward_is_bitwise_identical_across_thread_counts() {
+    let _guard = fanout_lock();
+    let p = PreparedGraph::from_graph(&large_line_graph());
+    let model = large_model();
     let serial = par::with_threads(1, || infer_bits(&model, &p));
     let fanned = par::with_threads(4, || infer_bits(&model, &p));
     assert_eq!(serial, fanned, "GLINT_THREADS must not change serving bits");
     let taped = par::with_threads(4, || tape_bits(&model, &p));
     assert_eq!(serial, taped, "tape and tape-free must agree under fan-out");
+}
+
+/// One serving forward runs on one core: even with four threads allowed
+/// and products far past `MIN_PAR_WORK`, the tape-free path never starts a
+/// worker thread.
+#[test]
+fn tape_free_forward_never_fans_out() {
+    let _guard = fanout_lock();
+    let p = PreparedGraph::from_graph(&large_line_graph());
+    let model = large_model();
+    let fanouts = count_fanouts(|| {
+        par::with_threads(4, || {
+            infer_bits(&model, &p);
+        })
+    });
+    assert_eq!(fanouts, 0, "the tape-free forward must stay serial");
+}
+
+/// The control for the test above: the tape forward of the same graph at
+/// the same thread count does fan out, so a zero there is not vacuous.
+#[test]
+fn tape_forward_of_the_same_graph_fans_out() {
+    let _guard = fanout_lock();
+    let p = PreparedGraph::from_graph(&large_line_graph());
+    let model = large_model();
+    let fanouts = count_fanouts(|| {
+        par::with_threads(4, || {
+            tape_bits(&model, &p);
+        })
+    });
+    assert!(fanouts > 0, "the 4-thread tape forward must fan out");
 }
 
 /// Buffer-pool invariant: after a warm-up assessment, repeated serving on

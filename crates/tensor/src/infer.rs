@@ -13,11 +13,16 @@
 //!   the state a fresh `Matrix::zeros` would give them); only a miss
 //!   allocates, and only a miss ticks the `tensor.alloc.*` counters.
 //! - [`InferCtx`] — the pool plus forward kernels mirroring the tape op
-//!   set. Products go through `par::{matmul_into, spmm_into}`, which share
-//!   the dispatch thresholds, the `GLINT_THREADS` fan-out and the exact
-//!   `*_block` kernels of the tape path — results are **bitwise
-//!   identical** to a tape forward at any thread count (property-tested in
+//!   set. Products run the exact serial `*_block` kernels of the tape
+//!   path over all output rows, so results are **bitwise identical** to a
+//!   tape forward at any thread count (property-tested in
 //!   `crates/gnn/tests/infer_equiv.rs`).
+//! - The tape-free path is **serial by construction**: it never consults
+//!   `GLINT_THREADS` and never starts a thread inside one forward.
+//!   Parallelism lives across requests (the glint-serve worker pool) and
+//!   across graphs (`par::ordered_map` in batch scoring and `embed_all`).
+//!   At serving shapes (a few nodes × 300 features × 64) a per-product
+//!   fan-out costs more in thread start-up than the product itself.
 //! - Fused affine+activation kernels ([`InferCtx::linear_relu`],
 //!   [`InferCtx::linear_sigmoid`]) and in-place element-wise helpers: the
 //!   bias add and the activation are applied in one pass over the product
@@ -35,6 +40,7 @@
 //! re-implements *value* computation, and the equivalence proptests pin it
 //! to the tape op-for-op.
 
+use crate::matrix::matmul_block;
 use crate::{Csr, Matrix};
 use std::cell::RefCell;
 
@@ -132,17 +138,51 @@ impl InferCtx {
 
     // ---- products (mirror `Tape::matmul` / `Tape::spmm`) ----
 
-    /// `a × b` into a pooled buffer via [`crate::par::matmul_into`].
+    /// `a × b` into a pooled buffer: the serial `matmul_block` kernel of
+    /// [`Matrix::matmul`] over all rows, never the `par` fan-out. Ticks the
+    /// same `tensor.matmul.*` counters as the tape's `par::matmul`.
     pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
+        if glint_trace::enabled() {
+            glint_trace::counter("tensor.matmul.calls", 1);
+            glint_trace::counter(
+                "tensor.matmul.flops",
+                2 * (a.rows() * a.cols() * b.cols()) as u64,
+            );
+        }
+        assert_eq!(
+            a.cols(),
+            b.rows(),
+            "matmul {}x{} × {}x{}",
+            a.rows(),
+            a.cols(),
+            b.rows(),
+            b.cols()
+        );
         let mut out = self.pool.acquire(a.rows(), b.cols());
-        crate::par::matmul_into(a, b, &mut out);
+        let b_finite = b.finite_rows();
+        matmul_block(a, b, &b_finite, 0, a.rows(), out.data_mut());
         out
     }
 
-    /// Sparse `adj × h` into a pooled buffer via [`crate::par::spmm_into`].
+    /// Sparse `adj × h` into a pooled buffer: the serial `spmm_block`
+    /// kernel of [`Csr::spmm`], never the `par` fan-out. Ticks the same
+    /// `tensor.spmm.*` counters as the tape's `par::spmm`.
     pub fn spmm(&mut self, adj: &Csr, h: &Matrix) -> Matrix {
+        if glint_trace::enabled() {
+            glint_trace::counter("tensor.spmm.calls", 1);
+            glint_trace::counter("tensor.spmm.flops", 2 * (adj.nnz() * h.cols()) as u64);
+        }
+        assert_eq!(
+            adj.cols(),
+            h.rows(),
+            "spmm {}x{} × {}x{}",
+            adj.rows(),
+            adj.cols(),
+            h.rows(),
+            h.cols()
+        );
         let mut out = self.pool.acquire(adj.rows(), h.cols());
-        crate::par::spmm_into(adj, h, &mut out);
+        adj.spmm_block(h, 0, adj.rows(), out.data_mut());
         out
     }
 

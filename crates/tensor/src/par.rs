@@ -21,14 +21,24 @@
 //! workspace are tiny (2–50 nodes) — for them the win comes from batching
 //! *across* graphs (see `glint-gnn`'s trainer and `glint-core`'s batch
 //! scoring), not from splitting one small matmul.
+//!
+//! The row-partitioned kernels serve the autograd tape (training). The
+//! tape-free serving path (`crate::infer`) is serial by construction: it
+//! runs the `*_block` kernels directly and never fans out inside one
+//! request. Parallelism lives across requests (glint-serve's worker pool)
+//! and across graphs ([`ordered_map`]). Every fan-out ticks the
+//! `tensor.par.fanouts` trace counter, which pins that rule in the tests.
 
 use crate::matrix::{matmul_block, matmul_t_block, t_matmul_block};
 use crate::{Csr, Matrix};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Minimum number of multiply-accumulates before a kernel fans out.
+/// Minimum number of multiply-accumulates before a tape kernel fans out.
 /// Below this, thread spawn/join overhead (~10µs) dwarfs the arithmetic.
+/// The threshold governs the tape (training) path only: the tape-free
+/// serving kernels in `crate::infer` are serial at every size, because a
+/// serving request already owns one core of the worker pool.
 pub const MIN_PAR_WORK: usize = 1 << 16;
 
 fn configured_threads() -> usize {
@@ -90,6 +100,9 @@ fn run_partitioned<F>(out: &mut Matrix, threads: usize, kernel: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
+    if glint_trace::enabled() {
+        glint_trace::counter("tensor.par.fanouts", 1);
+    }
     let w = out.cols();
     let ranges = partition(out.rows(), threads);
     crossbeam::thread::scope(|s| {
@@ -140,44 +153,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         matmul_block(a, b, &b_finite, lo, hi, block)
     });
     out
-}
-
-/// Parallel `a × b` into a caller-provided **zeroed** output buffer of shape
-/// `a.rows × b.cols`. Identical counters, dispatch thresholds, block kernel
-/// and therefore bitwise-identical results to [`matmul`] — the only
-/// difference is that the output allocation is the caller's (the tape-free
-/// inference path feeds pooled buffers through here; see `crate::infer`).
-pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.matmul.calls", 1);
-        glint_trace::counter(
-            "tensor.matmul.flops",
-            2 * (a.rows() * a.cols() * b.cols()) as u64,
-        );
-    }
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), b.cols()),
-        "matmul_into output shape mismatch"
-    );
-    let b_finite = b.finite_rows();
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.rows() * a.cols() * b.cols() < MIN_PAR_WORK {
-        matmul_block(a, b, &b_finite, 0, a.rows(), out.data_mut());
-        return;
-    }
-    run_partitioned(out, threads, |lo, hi, block| {
-        matmul_block(a, b, &b_finite, lo, hi, block)
-    });
 }
 
 /// Parallel `aᵀ × b`; exact same result as [`Matrix::t_matmul`].
@@ -265,37 +240,6 @@ pub fn spmm(a: &Csr, h: &Matrix) -> Matrix {
     out
 }
 
-/// Parallel sparse × dense `a × h` into a caller-provided **zeroed** output
-/// buffer of shape `a.rows × h.cols`. Identical counters, dispatch
-/// thresholds and block kernel to [`spmm`], so results are bitwise
-/// identical — only the output allocation moves to the caller.
-pub fn spmm_into(a: &Csr, h: &Matrix, out: &mut Matrix) {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.spmm.calls", 1);
-        glint_trace::counter("tensor.spmm.flops", 2 * (a.nnz() * h.cols()) as u64);
-    }
-    assert_eq!(
-        a.cols(),
-        h.rows(),
-        "spmm {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        h.rows(),
-        h.cols()
-    );
-    assert_eq!(
-        out.shape(),
-        (a.rows(), h.cols()),
-        "spmm_into output shape mismatch"
-    );
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.nnz() * h.cols() < MIN_PAR_WORK {
-        a.spmm_block(h, 0, a.rows(), out.data_mut());
-        return;
-    }
-    run_partitioned(out, threads, |lo, hi, block| a.spmm_block(h, lo, hi, block));
-}
-
 /// Parallel transposed sparse × dense `aᵀ × h`; exact same result as
 /// [`Csr::t_spmm`]. The serial kernel scatters into output rows, so this
 /// first regroups the stored entries by column (ascending source row — the
@@ -342,6 +286,9 @@ where
     let threads = current_threads().min(n.max(1));
     if threads <= 1 || n < 2 {
         return (0..n).map(f).collect();
+    }
+    if glint_trace::enabled() {
+        glint_trace::counter("tensor.par.fanouts", 1);
     }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     crossbeam::thread::scope(|s| {

@@ -219,7 +219,10 @@ impl Tape {
 
     // Forward and backward products go through the `par` entry points: they
     // return bitwise-serial results but fan out over threads once the
-    // operands clear `par::MIN_PAR_WORK` (tiny graphs stay serial).
+    // operands clear `par::MIN_PAR_WORK` (tiny graphs stay serial). Only
+    // training takes this path; the tape-free serving forward
+    // (`crate::infer`) is serial by construction, with parallelism across
+    // requests (serve workers) and across graphs (`par::ordered_map`).
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         #[cfg(feature = "strict")]
         strict::matmul_dims("matmul", self.value(a), self.value(b));

@@ -30,6 +30,12 @@ cargo test --workspace -q
 echo "== cargo test (GLINT_THREADS=1, forced serial) =="
 GLINT_THREADS=1 cargo test --workspace -q
 
+echo "== benchmark package (glintbench builds and passes against this checkout) =="
+# glintbench is its own cargo package with path deps on the repo crates, so
+# the workspace test run above does not build it. Testing it here makes a
+# crate API change that breaks the benchmark fail CI.
+cargo test --release --offline --manifest-path glintbench/Cargo.toml
+
 echo "== cargo test (strict mode: shape/finiteness checks on every tape op) =="
 cargo test -q --features strict
 
