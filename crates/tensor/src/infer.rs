@@ -159,8 +159,7 @@ impl InferCtx {
             b.cols()
         );
         let mut out = self.pool.acquire(a.rows(), b.cols());
-        let b_finite = b.finite_rows();
-        matmul_block(a, b, &b_finite, 0, a.rows(), out.data_mut());
+        matmul_block(a, b, 0, a.rows(), out.data_mut());
         out
     }
 

@@ -153,16 +153,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Per-row flags: is every element of the row finite? The zero-skip fast
-    /// paths below may only skip a `0 × b_row` product when that product is
-    /// exactly zero, i.e. when `b_row` has no NaN/Inf (IEEE 754: `0 × NaN`
-    /// and `0 × ∞` are NaN and must reach the accumulator).
-    pub(crate) fn finite_rows(&self) -> Vec<bool> {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().all(|v| v.is_finite()))
-            .collect()
-    }
-
     /// Matrix product `self × rhs`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
@@ -171,8 +161,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let b_finite = rhs.finite_rows();
-        matmul_block(self, rhs, &b_finite, 0, self.rows, &mut out.data);
+        matmul_block(self, rhs, 0, self.rows, &mut out.data);
         out
     }
 
@@ -184,8 +173,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        let b_finite = rhs.finite_rows();
-        t_matmul_block(self, rhs, &b_finite, 0, self.cols, &mut out.data);
+        t_matmul_block(self, rhs, 0, self.cols, &mut out.data);
         out
     }
 
@@ -478,73 +466,99 @@ impl Matrix {
 // slice covering exactly those rows of the (zero-initialized) result buffer.
 // The serial entry points above call them over the full row range; the
 // parallel layer (`par`) hands each worker a disjoint block via
-// `split_at_mut`. Because each output element is accumulated by exactly one
-// worker using exactly the serial per-element loop, the parallel results are
-// bitwise identical to the serial ones at any thread count.
+// `split_at_mut`. Because each output element is computed by exactly one
+// worker using exactly the serial per-element sequence, the parallel results
+// are bitwise identical to the serial ones at any thread count.
+//
+// The dense kernels sum every product, from a `+0.0` start with `k`
+// ascending, and never skip a zero coefficient. A skip would be a speed
+// device only: `0 × finite` is ±0, and a sum started at `+0.0` is never −0.0
+// (under round-to-nearest a sum is −0.0 only when both addends are), so
+// adding ±0 to it leaves its bits unchanged; `0 × NaN` and `0 × ∞` are NaN and
+// must reach the sum anyway.
 // ---------------------------------------------------------------------------
 
-/// Rows `[row_lo, row_hi)` of `a × rhs`. `b_finite` must be `rhs.finite_rows()`.
+/// Output-column tile width of [`matmul_block`] and [`t_matmul_block`]: a
+/// `[f32; TILE]` accumulator (8 SSE2 registers) stays live across the whole
+/// `k` loop instead of round-tripping the output row through memory.
+const TILE: usize = 32;
+
+/// `out_row[j] = Σ_k coef_k · rhs[k][j]`, each sum accumulated from `+0.0`
+/// with `k` ascending. Full `TILE`-wide column tiles accumulate in registers
+/// and are then stored; the columns past the last full tile go through the
+/// same loop over a shorter accumulator.
+#[inline(always)]
+fn tiled_row<I>(coefs: I, rhs: &Matrix, out_row: &mut [f32])
+where
+    I: Iterator<Item = f32> + Clone,
+{
+    let n = rhs.cols;
+    let mut tiles = out_row.chunks_exact_mut(TILE);
+    let mut j0 = 0;
+    for tile in &mut tiles {
+        let mut acc = [0.0f32; TILE];
+        for (av, b_row) in coefs.clone().zip(rhs.data.chunks_exact(n)) {
+            for (s, &b) in acc.iter_mut().zip(&b_row[j0..j0 + TILE]) {
+                *s += av * b;
+            }
+        }
+        tile.copy_from_slice(&acc);
+        j0 += TILE;
+    }
+    let tail = tiles.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    let mut acc = [0.0f32; TILE];
+    let acc = &mut acc[..tail.len()];
+    for (av, b_row) in coefs.zip(rhs.data.chunks_exact(n)) {
+        for (s, &b) in acc.iter_mut().zip(&b_row[j0..]) {
+            *s += av * b;
+        }
+    }
+    tail.copy_from_slice(acc);
+}
+
+/// Rows `[row_lo, row_hi)` of `a × rhs`: output row `i` combines the rows
+/// of `rhs` with the coefficients of `a`'s row `i`.
 pub(crate) fn matmul_block(
     a: &Matrix,
     rhs: &Matrix,
-    b_finite: &[bool],
     row_lo: usize,
     row_hi: usize,
     out_block: &mut [f32],
 ) {
     debug_assert_eq!(out_block.len(), (row_hi - row_lo) * rhs.cols);
-    // ikj loop order: stream rhs rows, accumulate into the output row.
-    for i in row_lo..row_hi {
-        let a_row = a.row(i);
-        let out_row = &mut out_block[(i - row_lo) * rhs.cols..(i - row_lo + 1) * rhs.cols];
-        for (k, &av) in a_row.iter().enumerate() {
-            // glint-lint: allow(float-eq) — deliberate IEEE exact-zero skip:
-            // 0 × finite is exactly 0, and non-finite rhs rows disable it so
-            // 0 × NaN/inf still propagates
-            if av == 0.0 && b_finite[k] {
-                continue;
-            }
-            let b_row = rhs.row(k);
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
+    if rhs.cols == 0 {
+        return;
+    }
+    for (i, out_row) in (row_lo..row_hi).zip(out_block.chunks_exact_mut(rhs.cols)) {
+        tiled_row(a.row(i).iter().copied(), rhs, out_row);
     }
 }
 
-/// Output rows `[row_lo, row_hi)` of `aᵀ × rhs`. Output row `i` is the
-/// product of `a`'s column `i` with all of `rhs`; iterating `k` ascending
-/// preserves the serial accumulation order for every output element
-/// regardless of how the rows are partitioned.
+/// Output rows `[row_lo, row_hi)` of `aᵀ × rhs`: output row `i` combines
+/// the rows of `rhs` with the coefficients of `a`'s column `i`, `k`
+/// ascending, whatever the row partition.
 pub(crate) fn t_matmul_block(
     a: &Matrix,
     rhs: &Matrix,
-    b_finite: &[bool],
     row_lo: usize,
     row_hi: usize,
     out_block: &mut [f32],
 ) {
     debug_assert_eq!(out_block.len(), (row_hi - row_lo) * rhs.cols);
-    for (k, &k_finite) in b_finite.iter().enumerate() {
-        let a_row = a.row(k);
-        let b_row = rhs.row(k);
-        for (i, &av) in a_row.iter().enumerate().take(row_hi).skip(row_lo) {
-            // glint-lint: allow(float-eq) — deliberate IEEE exact-zero skip,
-            // same contract as matmul_block above
-            if av == 0.0 && k_finite {
-                continue;
-            }
-            let out_row = &mut out_block[(i - row_lo) * rhs.cols..(i - row_lo + 1) * rhs.cols];
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
+    if rhs.cols == 0 {
+        return;
+    }
+    for (i, out_row) in (row_lo..row_hi).zip(out_block.chunks_exact_mut(rhs.cols)) {
+        let column = a.data.iter().skip(i).step_by(a.cols).copied();
+        tiled_row(column, rhs, out_row);
     }
 }
 
-/// Output rows `[row_lo, row_hi)` of `a × rhsᵀ`. Pure dot products — every
-/// element of both operands reaches the accumulator, so no finite-row
-/// bookkeeping is needed.
+/// Output rows `[row_lo, row_hi)` of `a × rhsᵀ`. Pure dot products, each
+/// accumulated from `+0.0` with `k` ascending.
 pub(crate) fn matmul_t_block(
     a: &Matrix,
     rhs: &Matrix,
@@ -640,15 +654,15 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// IEEE 754: `0 × NaN = NaN` and `0 × ∞ = NaN`. The zero-skip fast path
-    /// must not swallow them — a NaN that sneaks into an activation must
-    /// surface in the product, not vanish behind a sparsity optimization.
+    /// IEEE 754: `0 × NaN = NaN` and `0 × ∞ = NaN`. A zero coefficient must
+    /// not swallow them — a NaN that sneaks into an activation must surface
+    /// in the product, not vanish behind a sparsity optimization.
     #[test]
     fn matmul_zero_times_nan_propagates() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
         let b = Matrix::from_rows(&[vec![f32::NAN, 3.0], vec![4.0, 5.0]]);
         let c = a.matmul(&b);
-        // row 0: 0×NaN + 1×4 must be NaN, 0×3 + 1×5 is skippable-clean
+        // row 0: 0×NaN + 1×4 must be NaN; 0×3 + 1×5 adds an exact +0
         assert!(c.get(0, 0).is_nan(), "0 × NaN was skipped: {:?}", c);
         assert!(c.get(1, 0).is_nan(), "2 × NaN lost: {:?}", c);
         let b_inf = Matrix::from_rows(&[vec![f32::INFINITY, 3.0], vec![4.0, 5.0]]);
@@ -668,7 +682,7 @@ mod tests {
         let b = Matrix::from_rows(&[vec![f32::NAN, 1.0], vec![2.0, 3.0]]);
         let c = a.t_matmul(&b);
         // out[0][0] = 0×NaN + 0×2 = NaN; out[0][1] = 0×1 + 0×3 = 0 (finite
-        // operands: the zero products are exact and may be skipped)
+        // operands: the zero products are exact zeros)
         assert!(c.get(0, 0).is_nan(), "{:?}", c);
         assert_eq!(c.get(0, 1), 0.0);
         assert_eq!(c.get(1, 1), 7.0);

@@ -148,9 +148,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    let b_finite = b.finite_rows();
     run_partitioned(&mut out, threads, |lo, hi, block| {
-        matmul_block(a, b, &b_finite, lo, hi, block)
+        matmul_block(a, b, lo, hi, block)
     });
     out
 }
@@ -178,9 +177,8 @@ pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    let b_finite = b.finite_rows();
     run_partitioned(&mut out, threads, |lo, hi, block| {
-        t_matmul_block(a, b, &b_finite, lo, hi, block)
+        t_matmul_block(a, b, lo, hi, block)
     });
     out
 }

@@ -9,18 +9,27 @@
 //! 2. the pooled inference kernels stop allocating after warm-up, and a
 //!    fixed training loop stays under a pinned allocation ceiling.
 //!
-//! The trace registry is process-global, so every test that toggles it
-//! serializes on one lock and leaves tracing disabled on exit.
+//! The trace registry is process-global and counts allocations from every
+//! thread while tracing is on, so each test holds one lock for its whole
+//! body: no other test's set-up, warm-up or unmetered work can allocate
+//! inside a metered window. Tracing is left disabled on exit.
 
 use glint_tensor::{Adam, InferCtx, Matrix, Optimizer, ParamSet, Sgd, Tape};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Serialize a whole test against every other test in this file. A test
+/// that panicked while holding the lock poisons it; the registry is reset
+/// on every metered window, so the next test can carry on.
+fn exclusive() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Run `f` with tracing enabled and a clean registry; returns `f`'s value
 /// (typically counter readings taken inside). Restores the disabled state.
+/// Callers hold [`exclusive`].
 fn with_trace<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     glint_trace::set_enabled(true);
     glint_trace::reset();
     let out = f();
@@ -66,6 +75,7 @@ fn two_params() -> ParamSet {
 
 #[test]
 fn adam_steps_allocate_nothing_after_warmup() {
+    let _serial = exclusive();
     let mut params = two_params();
     let mut opt = Adam::new(0.01).with_weight_decay(0.01);
     // Warm-up: the first step lazily allocates the m/v moment buffers.
@@ -81,6 +91,7 @@ fn adam_steps_allocate_nothing_after_warmup() {
 
 #[test]
 fn adam_warmup_allocates_exactly_the_moment_buffers() {
+    let _serial = exclusive();
     let mut params = two_params();
     let mut opt = Adam::new(0.01);
     // First step: m + v per parameter, nothing else.
@@ -90,6 +101,7 @@ fn adam_warmup_allocates_exactly_the_moment_buffers() {
 
 #[test]
 fn sgd_steps_allocate_nothing_after_warmup() {
+    let _serial = exclusive();
     let mut params = two_params();
     let mut opt = Sgd::new(0.01).with_momentum(0.9).with_weight_decay(0.01);
     // Warm-up: the first step lazily allocates the velocity buffers.
@@ -105,6 +117,7 @@ fn sgd_steps_allocate_nothing_after_warmup() {
 
 #[test]
 fn sgd_without_momentum_never_allocates() {
+    let _serial = exclusive();
     let mut params = two_params();
     let mut opt = Sgd::new(0.01);
     // No momentum → no state buffers: even the first step is free.
@@ -114,6 +127,7 @@ fn sgd_without_momentum_never_allocates() {
 
 #[test]
 fn pooled_inference_kernels_stop_allocating_once_warm() {
+    let _serial = exclusive();
     let a = Matrix::full(8, 12, 0.3);
     let b = Matrix::full(12, 8, 0.2);
     let bias = Matrix::full(1, 8, 0.05);
@@ -143,6 +157,7 @@ fn pooled_inference_kernels_stop_allocating_once_warm() {
 /// that keeps those allocations from creeping back.
 #[test]
 fn fixed_105_step_workload_stays_under_allocation_ceiling() {
+    let _serial = exclusive();
     let mut params = two_params();
     let mut opt = Adam::new(0.01);
     let allocs = with_trace(|| {

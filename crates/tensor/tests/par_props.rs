@@ -30,7 +30,7 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, salted: bool) -> Ma
                     _ => rng.gen_range(-2.0f32..2.0),
                 }
             } else if rng.gen_bool(0.2) {
-                0.0 // exercise the zero-skip fast path
+                0.0 // exact-zero coefficients: ±0 products reach the sums
             } else {
                 rng.gen_range(-2.0f32..2.0)
             }
@@ -85,8 +85,8 @@ proptest! {
         }
     }
 
-    /// Same exactness with NaN/∞/zero-salted inputs: the zero-skip fast path
-    /// and the row partitioning must both preserve IEEE semantics.
+    /// Same exactness with NaN/∞/zero-salted inputs: zero coefficients and
+    /// the row partitioning must both preserve IEEE semantics.
     #[test]
     fn parallel_dense_kernels_bitwise_equal_serial_with_nans(seed in 0u64..1 << 48) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -19,12 +19,12 @@
 //! mutex like the fault-injection matrix does.
 
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use glint_suite::core::construction::OfflineBuilder;
 use glint_suite::core::drift::DriftDetector;
-use glint_suite::core::GlintDetector;
+use glint_suite::core::{DeadlinePressure, Detection, GlintDetector};
 use glint_suite::failpoint::{Action, ScopedFail};
 use glint_suite::gnn::batch::{GraphSchema, PreparedGraph};
 use glint_suite::gnn::models::{Itgnn, ItgnnConfig};
@@ -32,7 +32,7 @@ use glint_suite::gnn::trainer::{ClassifierTrainer, ContrastiveTrainer, TrainConf
 use glint_suite::graph::InteractionGraph;
 use glint_suite::rules::scenarios::table1_rules;
 use glint_suite::rules::Platform;
-use glint_suite::serve::{client, ServeConfig, Server, SITE_RESPOND};
+use glint_suite::serve::{client, Scorer, ServeConfig, Server, SITE_RESPOND};
 use serde_json::{json, Value};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -105,12 +105,64 @@ fn metric_u64(metrics: &Value, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Scores through the fixture detector, but holds every call until the
+/// test opens it. The occupying batch's first graph parks the single
+/// worker inside `score`, so the burst meets a busy worker however fast
+/// the model is, with no sleep to race against.
+struct Gate {
+    inner: Arc<GlintDetector<Itgnn, Itgnn>>,
+    /// `.0`: a `score` call has reached the gate; `.1`: the test opened it.
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gate {
+    fn new(inner: Arc<GlintDetector<Itgnn, Itgnn>>) -> Self {
+        Gate {
+            inner,
+            state: Mutex::new((false, false)),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (bool, bool)> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Block until a `score` call has reached the gate.
+    fn wait_entered(&self) {
+        let mut state = self.lock();
+        while !state.0 {
+            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+
+    fn open(&self) {
+        self.lock().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Scorer for Gate {
+    fn score(&self, graph: InteractionGraph, pressure: DeadlinePressure) -> Detection {
+        let mut state = self.lock();
+        state.0 = true;
+        self.changed.notify_all();
+        while !state.1 {
+            state = self.changed.wait(state).unwrap_or_else(|p| p.into_inner());
+        }
+        drop(state);
+        self.inner.score(graph, pressure)
+    }
+}
+
 #[test]
 fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     let _guard = serial();
     let fx = fixture();
+    let gate = Arc::new(Gate::new(Arc::clone(&fx.detector)));
     let server = Server::start(
-        Arc::clone(&fx.detector) as Arc<dyn glint_suite::serve::Scorer>,
+        Arc::clone(&gate) as Arc<dyn Scorer>,
         ServeConfig {
             workers: 1,
             queue_capacity: 2,
@@ -123,7 +175,8 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     let addr = server.addr();
     let mut sent = 0u64;
 
-    // Pin the single worker on a large batch (write it, defer the read).
+    // Pin the single worker on a batch (write it, defer the read): its
+    // first graph parks in the gate.
     let batch: Vec<Value> = fx
         .graphs
         .iter()
@@ -143,7 +196,7 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     )
     .expect("occupier written");
     sent += 1;
-    std::thread::sleep(Duration::from_millis(100));
+    gate.wait_entered();
 
     // Burst 12 more requests while the worker is busy: capacity 2 means
     // at most 2 can queue; the rest must shed immediately.
@@ -158,11 +211,39 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
         sent += 1;
         burst.push(stream);
     }
+    // Shed answers arrive while the worker is still parked; queued
+    // requests are answered only once the gate opens. Open it when every
+    // request beyond the queue's capacity has been answered, or after the
+    // read timeout, so a server that sheds too little fails the asserts
+    // below instead of hanging here.
+    let (tx, rx) = mpsc::channel();
+    let readers: Vec<_> = burst
+        .into_iter()
+        .map(|mut stream| {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                // every connection gets an answer within the timeout — no hangs
+                let answer = client::read_response(&mut stream).expect("burst answered");
+                let _ = tx.send(answer);
+            })
+        })
+        .collect();
+    drop(tx);
+    let mut answers = Vec::new();
+    while answers.len() < 12 - 2 {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(answer) => answers.push(answer),
+            Err(_) => break,
+        }
+    }
+    gate.open();
+    answers.extend(rx.iter());
+    for reader in readers {
+        reader.join().expect("burst reader");
+    }
     let mut n200 = 0u64;
     let mut n429 = 0u64;
-    for mut stream in burst {
-        // every connection gets an answer within the timeout — no hangs
-        let (status, body) = client::read_response(&mut stream).expect("burst answered");
+    for (status, body) in answers {
         match status {
             200 => {
                 // accepted under deadline pressure: must ride the ladder
